@@ -175,11 +175,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    from repro.hbr.inference import (
-        InferenceConfig,
-        InferenceEngine,
-        score_inference,
-    )
+    from repro.hbr.inference import InferenceEngine, score_inference
     from repro.repair.equivalence import PrefixGrouper
     from repro.scenarios.generators import (
         build_random_network,
@@ -201,11 +197,11 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         net, specs, prefixes, events=args.events, start=5.0, seed=args.seed
     )
     net.run(60)
-    engine = InferenceEngine(
-        config=InferenceConfig(legacy_scan=args.legacy_scan)
-    )
+    engine = InferenceEngine()
     distributed_rows = []
-    if args.distributed:
+    # `stats --scenario audit` and `serve-metrics` reuse this runner
+    # without a --distributed flag of their own.
+    if getattr(args, "distributed", False):
         from repro.hbr.distributed import DistributedHbg
 
         dist = DistributedHbg(InferenceEngine())
@@ -230,9 +226,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             ),
         ]
     else:
-        graph = engine.build_graph(
-            net.collector.all_events(), parallel=args.workers
-        )
+        graph = engine.build_graph(net.collector.all_events())
     observable = {e.event_id for e in net.collector}
     score = score_inference(graph, net.ground_truth, observable_ids=observable)
     snapshot = DataPlaneSnapshot.from_live_network(net)
@@ -1314,14 +1308,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="build the HBG with N sharded worker processes "
-        "(default: serial indexed build)",
-    )
-    audit.add_argument(
-        "--legacy-scan",
-        action="store_true",
-        help="use the pre-index window-rescan inference path "
-        "(differential-testing reference; much slower)",
+        help="fork N worker processes for the --distributed build "
+        "(only valid with --distributed)",
     )
     audit.add_argument(
         "--distributed",
@@ -1441,7 +1429,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--events", type=int, default=12)
     stats.add_argument("--min-f1", type=float, default=0.0)
     stats.add_argument("--workers", type=int, default=None)
-    stats.add_argument("--legacy-scan", action="store_true")
     stats.set_defaults(func=_cmd_stats)
 
     verify = sub.add_parser(
@@ -1686,7 +1673,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--events", type=int, default=12)
     serve.add_argument("--min-f1", type=float, default=0.0)
     serve.add_argument("--workers", type=int, default=None)
-    serve.add_argument("--legacy-scan", action="store_true")
     serve.set_defaults(func=_cmd_serve_metrics)
 
     watch = sub.add_parser(
@@ -1797,6 +1783,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "workers", None) is not None and not getattr(
+        args, "distributed", False
+    ):
+        # --workers only sizes the DistributedHbg.build_all fork pool;
+        # anywhere else it would be silently ignored.
+        parser.error(
+            f"{args.command}: --workers N is only valid with --distributed"
+        )
     wants_metrics = getattr(args, "metrics", False) and args.command != "stats"
     if wants_metrics:
         registry, tracer = obs.enable()

@@ -395,7 +395,9 @@ class IntegratedControlPlane:
             if result.ok:
                 return [], None
             with obs.span("pipeline.offline_trace"):
-                graph = self.engine.build_graph(view.visible_events(got_at))
+                # The snapshotter's maintained HBG is the graph of
+                # exactly the events visible at ``got_at``.
+                graph = snapshotter.graph
                 tracer = ProvenanceTracer(graph)
                 violating_event_ids: List[int] = []
                 for violation in result.violations:

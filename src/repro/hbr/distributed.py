@@ -29,19 +29,26 @@ central build:
   relation keeps exactly the antecedents with ``peer ==
   cons.router``, which is precisely what the summary contains.  The
   post-filter candidate lists (the only input to edge choice *and*
-  the ambiguity discount) are therefore identical, and replaying the
-  merged edge records in ``(cons_ts, cons_id, seq)`` order reproduces
-  the serial build's exact ``add_edge`` order — the byte-identity
-  argument of :mod:`repro.hbr.sharded`.  Engine configurations that
-  break the argument (naive/pattern techniques, ``legacy_scan``,
+  the ambiguity discount) are therefore identical.  Inference is
+  per-consequent and never reads the graph being built, so replaying
+  the merged edge records in ``(cons_ts, cons_id, seq)`` order —
+  ``seq`` being an edge's position in its consequent's inferred-edge
+  list — reproduces the central build's exact ``add_edge`` order:
+  cycle rejection and duplicate-evidence upgrades resolve
+  identically, and the merge is byte-identical.  Engine
+  configurations that break the argument (naive/pattern techniques,
   custom rules with no router relation or with peer-side antecedents
   beyond send/receive) are **refused** with
   :exc:`DistributionUnsupported` instead of silently falling back to
   a central rebuild.
 
 :meth:`DistributedHbg.build_all` optionally forks a worker pool over
-routers (``workers=N``) exactly like the sharded build; the merge is
-deterministic either way.  :meth:`DistributedHbg.merged_graph` is a
+routers (``workers=N``).  Shard assignment round-robins over the
+*sorted* router names (:func:`shard_routers`), so it is independent
+of hash seeds and scheduling; where ``fork`` is unavailable the
+shards run in-process.  The merge is deterministic either way (the
+cross-process gate in tests/test_determinism.py holds it).
+:meth:`DistributedHbg.merged_graph` is a
 true merge of the per-router edge records — it never calls the global
 ``build_graph`` over the full event list.  The boundary-traffic
 meters (:class:`BoundaryExchangeStats`, ``distributed.*`` obs
@@ -52,6 +59,7 @@ against shipping every event to a central collector.
 from __future__ import annotations
 
 import bisect
+import multiprocessing
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -61,12 +69,21 @@ from repro.capture.io_events import IOEvent, IOKind
 from repro.hbr.graph import EdgeEvidence, HappensBeforeGraph
 from repro.hbr.index import EventIndex, MAX_ID, RulePlan
 from repro.hbr.inference import InferenceEngine, _admissible
-from repro.hbr.sharded import (
-    EdgeRecord,
-    ShardTimings,
-    _fork_context,
-    shard_routers,
-)
+
+#: One inferred edge, in merge-sortable form: (consequent timestamp,
+#: consequent id, per-consequent sequence number, cause id, evidence
+#: technique, evidence rule, evidence confidence).  Evidence travels
+#: as primitives — unpickling tens of thousands of dataclasses in the
+#: parent costs more than the workers save.
+EdgeRecord = Tuple[float, int, int, int, str, str, float]
+
+#: Per-rule timing aggregate a worker returns: rule name ->
+#: (invocations, total wall seconds).  Workers must not touch the
+#: process-global registry (anything they wrote would die with the
+#: forked process — lint rule CONC001), so timings travel home in the
+#: return value and the parent folds them into
+#: ``inference.rule_invocations_total`` / ``inference.rule_seconds_total``.
+ShardTimings = Dict[str, Tuple[int, float]]
 
 #: Event kinds that can appear in a boundary summary at all: the
 #: send/receive pairs that cross router boundaries.  A peer-plan rule
@@ -101,11 +118,6 @@ def distribution_obstacles(engine: InferenceEngine) -> List[str]:
         )
     if config.use_patterns:
         obstacles.append("pattern matching scans the global stream")
-    if config.legacy_scan:
-        obstacles.append(
-            "legacy_scan bypasses the per-router indices the "
-            "subgraphs maintain"
-        )
     for rule, plan in zip(engine.rules, engine._plans):
         if plan.router_from == "any":
             obstacles.append(
@@ -125,6 +137,25 @@ def distribution_obstacles(engine: InferenceEngine) -> List[str]:
                     "summaries do not carry"
                 )
     return obstacles
+
+
+def shard_routers(routers: Sequence[str], workers: int) -> List[List[str]]:
+    """Deterministically round-robin sorted router names over shards.
+
+    Sorting first makes the assignment a pure function of the router
+    set — independent of PYTHONHASHSEED, arrival order, or scheduling.
+    """
+    ordered = sorted(routers)
+    workers = max(1, workers)
+    shards = [ordered[i::workers] for i in range(workers)]
+    return [shard for shard in shards if shard]
+
+
+def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-forking platform
+        return None
 
 
 def supports_distribution(engine: InferenceEngine) -> bool:
@@ -279,12 +310,6 @@ class _DistributedSource:
         raise DistributionUnsupported(
             "naive/pattern candidate scans need the global stream"
         )
-
-    def track(self) -> "_DistributedSource":
-        """No ledger registration: subgraph indices are owned (and
-        sized) by their subgraphs, and this source is also built
-        inside forked workers (CONC001)."""
-        return self
 
 
 class RouterSubgraph:
@@ -647,8 +672,8 @@ class DistributedHbg:
                 else:
                     tally[0] += count
                     tally[1] += seconds
-        # Replay the serial build's exact insertion order (the
-        # byte-identity argument of repro.hbr.sharded).
+        # Replay the central build's exact insertion order (the
+        # byte-identity argument in the module docstring).
         records.sort(key=lambda r: (r[0], r[1], r[2]))
         self._records = records
         for name in names:
@@ -669,7 +694,7 @@ class DistributedHbg:
         recorder = obs.get_recorder()
         if recorder.enabled:
             # Workers are throwaway forks: replay their HBR_EDGE trace
-            # records in the parent, as the sharded build does.
+            # records in the parent.
             for cons_ts, cons_id, _seq, cause_id, technique, rule, conf in (
                 records
             ):
@@ -703,7 +728,7 @@ class DistributedHbg:
             )
             # Workers are throwaway forks: replay their per-rule
             # timing aggregates and per-edge counters in the parent,
-            # exactly as the sharded build does.
+            # as the in-process build emits them.
             for technique_rule, count in _edge_tallies(records).items():
                 registry.counter(
                     "inference.edges_by_technique",
@@ -788,8 +813,8 @@ class DistributedHbg:
     def merged_graph(self) -> HappensBeforeGraph:
         """True merge of the per-router edge records.
 
-        Byte-identical to the serial/indexed/sharded central builds
-        (the determinism gate holds all four to the same edge dump).
+        Byte-identical to the central build (the determinism gate
+        holds every build path to the same edge dump).
         Never calls the global ``build_graph`` over the full event
         list — the per-router records *are* the graph.
         """

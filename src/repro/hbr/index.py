@@ -201,8 +201,8 @@ def forward_plan_for_rule(rule: HbrRule) -> RulePlan:
     Reuses :class:`RulePlan` because the field access is symmetric:
     ``same_router`` means the consequent lives under the antecedent's
     router, and ``peer_symmetric`` (``a.peer == b.router``) means it
-    lives under the antecedent's ``peer``.  Streaming full_relink uses
-    this to find the already-observed events a late-arriving cause
+    lives under the antecedent's ``peer``.  Streaming inference uses
+    this to find the already-indexed events a late-arriving cause
     must re-link, without scanning the whole re-link window.
     """
     relations = rule.relations
@@ -246,8 +246,9 @@ class EventIndex:
         """Register with the resource ledger; returns ``self``.
 
         Registration is explicit rather than a constructor side
-        effect because indices are also built inside forked shard
-        workers (repro.hbr.sharded), where a ledger registration
+        effect because indices are also built inside the forked
+        workers of ``DistributedHbg.build_all`` (a subgraph's boundary
+        index is built lazily on first use), where a ledger registration
         would mutate the doomed forked copy and silently vanish at
         join — lint rule CONC001 checks exactly this.  Only
         parent-process owners call ``track()``.

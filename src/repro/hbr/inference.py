@@ -67,22 +67,6 @@ class InferenceConfig:
     ambiguity_discount: bool = True
     #: Link all candidates instead of only the most recent one.
     link_all_candidates: bool = False
-    #: Use the original per-event window rescan instead of the
-    #: inverted indices of :mod:`repro.hbr.index`.  Kept only as the
-    #: reference implementation for differential testing (the
-    #: ``hbg-indexed-equivalence`` oracle); the indexed path is the
-    #: default and produces the identical graph.
-    legacy_scan: bool = False
-    #: Streaming only: after each observe, re-link every
-    #: already-observed consequent whose candidate window contains the
-    #: new event — not just those inside the skew horizon.  Required
-    #: when events are fed in *arrival* order (per-router log lag can
-    #: deliver a cause long after its effects were observed); with it,
-    #: the streaming graph equals the batch build of the same event
-    #: set after every observe.  Off by default because in-order feeds
-    #: don't need it and the wider re-link window costs per-observe
-    #: work proportional to recent-event density.
-    full_relink: bool = False
 
 
 # -- pattern mining ----------------------------------------------------------
@@ -177,7 +161,7 @@ def _prefix_compatible(a: IOEvent, b: IOEvent) -> bool:
 def _admissible(
     cons: IOEvent, candidates: Iterable[IOEvent]
 ) -> List[IOEvent]:
-    """The shared per-candidate filters both sources apply.
+    """The per-candidate filters every candidate source applies.
 
     Excludes the consequent itself and enforces the shared-clock
     constraint: same-router antecedents must not be later than the
@@ -196,60 +180,15 @@ def _admissible(
     return result
 
 
-class _ScanSource:
-    """Legacy candidate lookup: rescan the ordered stream per rule.
-
-    Kept as the reference implementation behind
-    ``InferenceConfig.legacy_scan`` so the indexed path can be
-    differentially tested against it forever.
-    """
-
-    __slots__ = ("ordered", "times", "skew")
-
-    def __init__(
-        self,
-        ordered: Sequence[IOEvent],
-        times: Sequence[float],
-        skew: float,
-    ):
-        self.ordered = ordered
-        self.times = times
-        self.skew = skew
-
-    def _window(self, cons: IOEvent, window: float) -> List[IOEvent]:
-        """Events within [cons.t - window, cons.t + skew].
-
-        The forward allowance implements the timestamp technique's
-        skew tolerance: a cause on another (skewed) router may carry a
-        slightly *later* logged timestamp than its effect.
-        """
-        start = bisect.bisect_left(self.times, cons.timestamp - window)
-        end = bisect.bisect_right(self.times, cons.timestamp + self.skew)
-        return _admissible(cons, self.ordered[start:end])
-
-    def rule_candidates(
-        self, cons: IOEvent, window: float, plan: "RulePlan"
-    ) -> List[IOEvent]:
-        return self._window(cons, window)
-
-    def window_candidates(
-        self, cons: IOEvent, window: float
-    ) -> List[IOEvent]:
-        return self._window(cons, window)
-
-    def track(self) -> "_ScanSource":
-        """No resources worth ledger-tracking here; returns ``self``."""
-        return self
-
-
 class _IndexSource:
     """Indexed candidate lookup over :class:`repro.hbr.index.EventIndex`.
 
     Rule lookups read only the (router, kind[, prefix]) bucket the
     rule's precomputed plan names; the naive/pattern modes fall back
     to the global time-ordered index.  Either way the answer comes
-    back in the same (timestamp, event_id) order the legacy scan
-    produced, so downstream tie-breaking is unchanged.
+    back in (timestamp, event_id) order — the order a plain window
+    rescan yields (:func:`repro.testkit.reference.reference_graph`),
+    so downstream tie-breaking matches it.
     """
 
     __slots__ = ("index", "skew")
@@ -273,17 +212,6 @@ class _IndexSource:
         lo = (cons.timestamp - window, 0)
         hi = (cons.timestamp + self.skew, MAX_ID)
         return _admissible(cons, self.index.window(lo, hi))
-
-    def track(self) -> "_IndexSource":
-        """Register the underlying index with the resource ledger.
-
-        Deliberately *not* called from :meth:`InferenceEngine._batch_source`:
-        that constructor path also runs inside forked shard workers,
-        where a ledger registration dies with the worker (CONC001).
-        Parent-process owners opt in after construction.
-        """
-        self.index.track()
-        return self
 
 
 # -- the combined engine ----------------------------------------------------------
@@ -325,70 +253,28 @@ class InferenceEngine:
 
     # -- batch ------------------------------------------------------------
 
-    def build_graph(
-        self,
-        events: Iterable[IOEvent],
-        parallel: Optional[int] = None,
-    ) -> HappensBeforeGraph:
+    def build_graph(self, events: Iterable[IOEvent]) -> HappensBeforeGraph:
         """Infer the full HBG for a finished capture.
 
-        ``parallel`` opts in to the sharded build path of
-        :mod:`repro.hbr.sharded`: the stream is partitioned by router,
-        per-shard edge lists are produced by ``parallel`` worker
-        processes, and the deterministic merge reproduces this
-        method's serial result byte for byte.
+        A batch build is :meth:`StreamingInference.extend` on a fresh
+        stream: every event is indexed, then each is linked once, in
+        (timestamp, event_id) order.  There are no earlier consequents
+        to re-link, so this is exactly the one-pass indexed build.
         """
         registry = obs.get_registry()
         if registry.enabled:
             watch = registry.stopwatch()
-        ordered = sorted(events, key=lambda e: (e.timestamp, e.event_id))
-        if parallel is not None and parallel > 1:
-            from repro.hbr.sharded import build_sharded
-
-            graph = build_sharded(self, ordered, workers=parallel)
-        else:
-            graph = self._build_serial(ordered)
+        stream = self.streaming()
+        stream.extend(events)
         if registry.enabled:
             registry.counter("inference.batch_builds_total").inc()
             registry.histogram("inference.build_graph_seconds").observe(
                 watch.elapsed()
             )
             registry.histogram("inference.build_graph_events").observe(
-                len(ordered)
+                len(stream)
             )
-        return graph
-
-    def _build_serial(
-        self, ordered: Sequence[IOEvent]
-    ) -> HappensBeforeGraph:
-        graph = HappensBeforeGraph()
-        for event in ordered:
-            graph.add_event(event)
-        # .track() here, not in _batch_source: the serial build runs in
-        # the parent, so ledger registration of the index is safe.
-        source = self._batch_source(ordered).track()
-        for cons in ordered:
-            for ante, evidence in self._edges_into(cons, source):
-                graph.add_edge(ante.event_id, cons.event_id, evidence)
-        return graph
-
-    def _batch_source(self, ordered: Sequence[IOEvent]):
-        """The candidate source for a finished, sorted capture.
-
-        Free of ledger registration (and every other process-global
-        mutation): forked shard workers call this too, so anything
-        written to the obs singletons here would land in the doomed
-        forked copy.  Parent-only owners call ``.track()`` on the
-        returned source.
-        """
-        skew = self.config.clock_skew_tolerance
-        if self.config.legacy_scan:
-            times = [e.timestamp for e in ordered]
-            return _ScanSource(ordered, times, skew)
-        index = EventIndex()
-        for event in ordered:
-            index.add(event)
-        return _IndexSource(index, skew)
+        return stream.graph
 
     def _edges_into(
         self, cons: IOEvent, source
@@ -396,10 +282,10 @@ class InferenceEngine:
         registry = obs.get_registry()
         timing_sink = None
         if registry.enabled:
-            # Serial/streaming path: per-rule wall time goes straight
-            # into the registry histograms.  The sink indirection keeps
+            # In-process path: per-rule wall time goes straight into
+            # the registry histograms.  The sink indirection keeps
             # _infer_edges free of process-global mutation so the
-            # forked shard workers (see repro.hbr.sharded) can reuse it
+            # forked workers of DistributedHbg.build_all can reuse it
             # with an aggregating sink instead — a CONC001 requirement.
             def timing_sink(rule_name: str, seconds: float) -> None:
                 registry.histogram(
@@ -436,7 +322,8 @@ class InferenceEngine:
 
         ``timing_sink(rule_name, seconds)``, when provided, receives
         per-rule wall time.  This function must stay free of registry
-        / recorder mutation: it runs inside forked shard workers,
+        / recorder mutation: it runs inside the forked workers of
+        :meth:`repro.hbr.distributed.DistributedHbg.build_all`,
         where any process-global emission would silently die with the
         worker (lint rule CONC001 checks exactly this).
         """
@@ -543,105 +430,48 @@ class InferenceEngine:
 
     # -- streaming ------------------------------------------------------------
 
-    def relink_window(self) -> float:
-        """Timestamp span *ahead* of a new event within which an
-        already-observed consequent could have it as a candidate —
-        the re-link horizon ``full_relink`` streaming must cover."""
-        window = 0.0
-        if self.config.use_rules and self.rules:
-            window = max(window, max(rule.window for rule in self.rules))
-        if self.config.naive_prefix_timestamp:
-            window = max(window, self.config.naive_window)
-        if self.config.use_patterns and self.miner is not None:
-            window = max(window, self.miner.window)
-        return window
-
     def streaming(self) -> "StreamingInference":
         return StreamingInference(self)
 
 
 class StreamingInference:
-    """Incremental HBG construction for the online pipeline.
+    """The HBG engine: an incrementally maintained graph.
 
-    ``observe`` adds one event and links it backwards; it also checks
-    whether the new event is the (skew-delayed) *cause* of recently
-    observed events, re-running inference for consequents inside the
-    skew horizon.
+    Every consumer shares it — batch builds (:meth:`InferenceEngine.
+    build_graph` is :meth:`extend` on a fresh stream), the online
+    pipeline, the §5 snapshotter and the incremental verifier.
+    :meth:`extend` is the one link path.  It indexes a batch of
+    events, links each new event once, then re-links once every
+    earlier consequent whose candidate lists a new event can enter: a
+    cause that arrives after its effects (per-router log lag) must
+    still be linked to them, and a pick-latest rule may now choose it.
+    After every call the graph equals the batch build of every event
+    fed so far, whatever the arrival order.
 
-    The default path maintains an :class:`~repro.hbr.index.EventIndex`
-    incrementally (O(sqrt N) insert, bucketed lookups); the
-    ``legacy_scan`` config flag keeps the original O(N)-per-event
-    sorted-list implementation for differential testing.  Both end-of-
-    observe gauge updates are O(1): the graph tracks its own edge and
-    vertex totals (see :meth:`HappensBeforeGraph.edge_count`), guarded
-    by the overhead test in tests/test_hbr_inference.py.
+    The index is an :class:`~repro.hbr.index.EventIndex` (O(sqrt N)
+    insert, bucketed lookups).  The end-of-observe gauge updates are
+    O(1): the graph tracks its own edge and vertex totals (see
+    :meth:`HappensBeforeGraph.edge_count`), guarded by the overhead
+    test in tests/test_hbr_inference.py.
     """
 
     def __init__(self, engine: InferenceEngine):
         self.engine = engine
         self.graph = HappensBeforeGraph()
-        self._legacy = engine.config.legacy_scan
-        skew = engine.config.clock_skew_tolerance
-        #: With full_relink, re-link everything whose candidate window
-        #: [cons.t - rule.window, cons.t + skew] can contain the new
-        #: event: consequents up to one *per-event* horizon ahead (see
-        #: :meth:`_ahead_horizon` — scoped to the rules the new event
-        #: can antecede, so a FIB update does not pay the 60 s config
-        #: window) and up to one skew behind (the new event may be a
-        #: forward-skew cause).  Within the horizon, only consequents
-        #: whose candidate sets the new event can actually enter are
-        #: re-linked (:meth:`_could_affect`) — skipping the rest is
-        #: sound because `_infer_edges` is a pure function of each
-        #: rule's candidate list.
-        self._full = engine.config.full_relink
-        self._relink_ahead = (
-            engine.relink_window() if self._full else skew
-        )
-        self._relink_behind = skew if self._full else 0.0
+        self._skew = engine.config.clock_skew_tolerance
         #: Forward (antecedent → consequent-bucket) query plans,
-        #: parallel to engine.rules; only the full_relink path uses
-        #: them.
+        #: parallel to engine.rules: the re-link lookups of
+        #: :meth:`_stale_consequents`.
         self._fplans: Tuple[RulePlan, ...] = tuple(
             forward_plan_for_rule(rule) for rule in engine.rules
         )
         #: ``listener(event, relinked)`` callbacks, notified after each
-        #: observe() — the delta feed the incremental verifier rides.
+        #: extend — the delta feed the incremental verifier rides.
         self._listeners: List = []
-        if self._legacy:
-            self._ordered: List[IOEvent] = []
-            self._times: List[float] = []
-            self._source = _ScanSource(self._ordered, self._times, skew)
-        else:
-            # Streaming inference lives in the parent process, so the
-            # index is ledger-tracked here.
-            self._index = EventIndex().track()
-            self._source = _IndexSource(self._index, skew)
-
-    def _ahead_horizon(self, event: IOEvent) -> float:
-        """How far ahead of ``event`` a consequent's candidate window
-        can still reach back to it.
-
-        Without ``full_relink`` this is the flat skew allowance.  With
-        it, the bound is the widest window among the *rules whose
-        antecedent pattern matches this event* (plus the naive/pattern
-        windows when those techniques are on): an event no rule
-        accepts as an antecedent cannot enter any later candidate
-        list, so scanning the global ``relink_window()`` for it would
-        only re-derive identical edges.
-        """
-        if not self._full:
-            return self._relink_ahead
-        config = self.engine.config
-        window = 0.0
-        if config.use_rules:
-            for rule in self.engine.rules:
-                if rule.window > window and rule.antecedent.matches(event):
-                    window = rule.window
-        if config.naive_prefix_timestamp:
-            window = max(window, config.naive_window)
-        if config.use_patterns and self.engine.miner is not None:
-            window = max(window, self.engine.miner.window)
-        return window
+        # Streaming inference lives in the parent process, so the
+        # index is ledger-tracked here.
+        self._index = EventIndex().track()
+        self._source = _IndexSource(self._index, self._skew)
 
     def _could_affect(self, event: IOEvent, cons: IOEvent) -> bool:
         """Conservatively: can ``event`` enter ``cons``'s candidate
@@ -676,21 +506,20 @@ class StreamingInference:
     def subscribe(self, listener) -> None:
         """Register ``listener(event, relinked)``.
 
-        Called after every :meth:`observe` with the newly observed
-        event and the tuple of *already-observed* events whose
-        in-edges were re-inferred because of it.  Listeners run after
-        the graph is updated, outside the observe metrics window.
+        Called after every :meth:`extend`, once per new event in
+        (timestamp, event_id) order, once the whole batch is linked.
+        The first call carries the tuple of *earlier* events whose
+        in-edges the batch re-inferred; the others carry ``()``.  For
+        :meth:`observe` that is exactly one call per event.
         """
         self._listeners.append(listener)
 
     def observe(self, event: IOEvent) -> None:
+        """``extend([event])``, metered as one streaming step."""
         registry = obs.get_registry()
         if registry.enabled:
             watch = registry.stopwatch()
-        if self._legacy:
-            relinked = self._observe_legacy(event)
-        else:
-            relinked = self._observe_indexed(event)
+        self.extend((event,))
         if registry.enabled:
             registry.counter("inference.events_observed_total").inc()
             registry.histogram("inference.observe_seconds").observe(
@@ -698,41 +527,54 @@ class StreamingInference:
             )
             registry.gauge("inference.hbg_events").set(len(self.graph))
             registry.gauge("inference.hbg_edges").set(self.graph.edge_count())
-        for listener in self._listeners:
-            listener(event, relinked)
 
-    def _observe_indexed(self, event: IOEvent) -> Tuple[IOEvent, ...]:
-        self._index.add(event)
-        self.graph.add_event(event)
-        self._link(event)
-        # The new event may be the cause of already-observed events
-        # whose logged timestamps are within the re-link horizon.
-        # ``after`` starts strictly past every event sharing this
-        # timestamp, matching the legacy insertion point semantics.
-        if self._full:
-            return self._relink_forward(event)
-        relinked: List[IOEvent] = []
-        horizon = (event.timestamp + self._relink_ahead, MAX_ID)
-        for cons in list(
-            self._index.after((event.timestamp, MAX_ID), horizon)
-        ):
-            self._link(cons)
-            relinked.append(cons)
-        return tuple(relinked)
+    def extend(self, events: Iterable[IOEvent]) -> Tuple[IOEvent, ...]:
+        """Add ``events`` and link them; returns the re-linked events.
 
-    def _relink_forward(self, event: IOEvent) -> Tuple[IOEvent, ...]:
-        """Full-relink via forward bucket queries.
+        The returned tuple holds the already-indexed consequents whose
+        in-edges were re-inferred because of the batch, in
+        (timestamp, event_id) order.
+        """
+        fresh = sorted(events, key=lambda e: (e.timestamp, e.event_id))
+        had_events = len(self._index) > 0
+        for event in fresh:
+            self._index.add(event)
+            self.graph.add_event(event)
+        for event in fresh:
+            self._link(event)
+        relinked: Tuple[IOEvent, ...] = ()
+        if had_events and fresh:
+            stale: Dict[int, IOEvent] = {}
+            for event in fresh:
+                self._stale_consequents(event, stale)
+            for event in fresh:
+                stale.pop(event.event_id, None)
+            relinked = tuple(
+                sorted(stale.values(), key=lambda e: (e.timestamp, e.event_id))
+            )
+            for cons in relinked:
+                self._link(cons)
+        if self._listeners:
+            for position, event in enumerate(fresh):
+                for listener in self._listeners:
+                    listener(event, relinked if position == 0 else ())
+        return relinked
 
-        For each rule the new event can antecede, read the consequent
+    def _stale_consequents(
+        self, event: IOEvent, stale: Dict[int, IOEvent]
+    ) -> None:
+        """Add to ``stale`` every indexed consequent ``event`` can affect.
+
+        For each rule the event can antecede, read the consequent
         buckets the forward plan names over
         ``[event.t - skew, event.t + rule.window]`` — a superset of
         every candidate list the event can enter — then keep exactly
-        the consequents :meth:`_could_affect` confirms.  Equivalent to
-        scanning the whole ``relink_window()`` horizon, at the cost of
-        a few bucket reads per observe instead of the entire stream.
+        the consequents :meth:`_could_affect` confirms.  Skipping the
+        rest is sound because `_infer_edges` is a pure function of
+        each rule's candidate list.
         """
         collected: Dict[int, IOEvent] = {}
-        lo = (event.timestamp - self._relink_behind, 0)
+        lo = (event.timestamp - self._skew, 0)
         config = self.engine.config
         if config.use_rules:
             for position, rule in enumerate(self.engine.rules):
@@ -760,45 +602,9 @@ class StreamingInference:
                 if _prefix_compatible(event, cons):
                     collected.setdefault(cons.event_id, cons)
         collected.pop(event.event_id, None)
-        relinked: List[IOEvent] = []
-        for cons in sorted(
-            collected.values(), key=lambda e: (e.timestamp, e.event_id)
-        ):
-            if not self._could_affect(event, cons):
-                continue
-            self._link(cons)
-            relinked.append(cons)
-        return tuple(relinked)
-
-    def _observe_legacy(self, event: IOEvent) -> Tuple[IOEvent, ...]:
-        position = bisect.bisect_right(self._times, event.timestamp)
-        # The O(N) inserts are exactly what the indexed path exists to
-        # avoid; this branch is the differential-testing reference.
-        self._ordered.insert(position, event)  # repro: lint-ignore[PERF001] -- legacy reference path
-        self._times.insert(position, event.timestamp)  # repro: lint-ignore[PERF001] -- legacy reference path
-        self.graph.add_event(event)
-        self._link(event)
-        relinked: List[IOEvent] = []
-        if self._relink_behind:
-            start = bisect.bisect_left(
-                self._times, event.timestamp - self._relink_behind
-            )
-            for cons in self._ordered[start:position]:
-                if cons.event_id == event.event_id:
-                    continue
-                if self._full and not self._could_affect(event, cons):
-                    continue
-                self._link(cons)
-                relinked.append(cons)
-        horizon = event.timestamp + self._ahead_horizon(event)
-        index = position + 1
-        while index < len(self._ordered) and self._times[index] <= horizon:
-            cons = self._ordered[index]
-            if not self._full or self._could_affect(event, cons):
-                self._link(cons)
-                relinked.append(cons)
-            index += 1
-        return tuple(relinked)
+        for event_id, cons in collected.items():
+            if event_id not in stale and self._could_affect(event, cons):
+                stale[event_id] = cons
 
     def _link(self, cons: IOEvent) -> None:
         # Replace, don't accumulate: a re-link may change which
@@ -809,8 +615,6 @@ class StreamingInference:
             self.graph.add_edge(ante.event_id, cons.event_id, evidence)
 
     def __len__(self) -> int:
-        if self._legacy:
-            return len(self._ordered)
         return len(self._index)
 
 

@@ -24,7 +24,8 @@ Rule families (full catalogue in ``docs/STATIC_ANALYSIS.md``):
   deterministic package is flagged if any call chain reaches a
   nondeterministic sink, with the chain as evidence.
 * **CONC** (deep) — concurrency: **CONC001** fork-safety of the
-  sharded HBG build (worker-reachable code must not mutate
+  distributed HBG build's worker pool (``DistributedHbg.build_all``;
+  worker-reachable code must not mutate
   process-global state), **CONC002** thread-safety of state reachable
   from the live-metrics HTTP handler, **CONC003** module globals
   written from multiple pipeline stages.

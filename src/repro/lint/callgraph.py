@@ -3,7 +3,7 @@
 The single-file rules (DET001-003, HYG, PERF) see one tree at a time;
 the concurrency/determinism properties this repo actually depends on
 — "no function *transitively* reachable from HBR inference touches a
-wall clock", "nothing a forked shard worker runs mutates shared state"
+wall clock", "nothing a forked worker runs mutates shared state"
 — are properties of the whole program.  This module builds the
 substrate those rules (``rules/det_flow.py``, ``rules/concurrency.py``)
 and the fixpoint engine (``dataflow.py``) analyse:
@@ -674,7 +674,8 @@ class Project:
             return [fn.cls]
         if raw[0] in fn.param_types and len(raw) == 1:
             # Forward a caller-bound parameter type to the next callee
-            # (`build_sharded(engine, ...)` -> `infer_shard(engine, ...)`).
+            # (`outer(engine, ...)` -> `inner(engine, ...)` keeps
+            # `engine` typed in `inner`).
             return sorted(fn.param_types[raw[0]])
         local = fn.local_types.get(raw[0])
         if local is not None and len(raw) == 1:

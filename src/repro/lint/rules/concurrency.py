@@ -1,6 +1,7 @@
 """CONC — whole-program fork/thread safety rules.
 
-The sharded HBG build (:mod:`repro.hbr.sharded`) forks worker
+The distributed HBG build
+(:meth:`repro.hbr.distributed.DistributedHbg.build_all`) forks worker
 processes; the metrics endpoint (:mod:`repro.obs.serve`) handles
 requests on pool threads.  Both concurrency boundaries have invisible
 failure modes a per-file pass cannot see:

@@ -75,8 +75,9 @@ TRACE_SITES: Dict[str, Sequence[Tuple[str, str]]] = {
 LEDGER_SITES: Dict[str, Sequence[Tuple[str, str]]] = {
     "repro.hbr.graph": (("HappensBeforeGraph.__init__", "hbr.graph"),),
     # Registration moved out of __init__ into the explicit track()
-    # opt-in so forked shard workers can build untracked indices
-    # (CONC001 — a worker-side registration dies with the fork).
+    # opt-in so the forked workers of DistributedHbg.build_all can
+    # build untracked indices (CONC001 — a worker-side registration
+    # dies with the fork).
     "repro.hbr.index": (("EventIndex.track", "hbr.index"),),
     "repro.snapshot.consistent": (
         ("ConsistentSnapshotter.__init__", "snapshot.closure_cache"),

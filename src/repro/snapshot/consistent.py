@@ -23,6 +23,13 @@ This is a Chandy–Lamport-style consistent-cut condition specialised
 to the HBG: the visible event set must be causally closed along
 advertisement edges.
 
+:meth:`ConsistentSnapshotter.snapshot` checks against an HBG it keeps
+up to date, not one rebuilt per call: one
+:class:`~repro.hbr.inference.StreamingInference` plus a visibility
+frontier.  Visibility only grows as ``at`` grows, so each poll feeds
+the stream just the events that became visible since the last one; an
+``at`` before the frontier starts a fresh stream.
+
 Two memoization regimes share the walk:
 
 * **batch** (default): memos are scoped to one :meth:`check` call and
@@ -49,7 +56,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from repro import obs
 from repro.capture.io_events import IOEvent, IOKind
 from repro.hbr.graph import HappensBeforeGraph
-from repro.hbr.inference import InferenceEngine
+from repro.hbr.inference import InferenceEngine, StreamingInference
 from repro.net.addr import Prefix
 from repro.snapshot.base import DataPlaneSnapshot, VerifierView
 
@@ -105,9 +112,14 @@ class ConsistentSnapshotter:
         #: The owner must then feed :meth:`note_fib_event` for every
         #: FIB update and :meth:`invalidate_event` for every event
         #: whose in-edges the streaming layer re-inferred; batch
-        #: :meth:`snapshot` is unsupported (it builds a fresh graph
-        #: per call, which would poison the caches).
+        #: :meth:`snapshot` is unsupported (its own stream re-links
+        #: events the owner never hears about, which would poison the
+        #: caches).
         self.persistent_memo = persistent_memo
+        #: The HBG behind :meth:`snapshot`: one stream holding every
+        #: event visible at ``_frontier`` (see :meth:`_graph_at`).
+        self._stream: Optional[StreamingInference] = None
+        self._frontier = float("-inf")
         # §5 recursion memos, bucketed per prefix (a walk never
         # crosses prefixes: advertisement ancestry follows same-prefix
         # route events only).  Per-prefix buckets make both the batch
@@ -168,8 +180,8 @@ class ConsistentSnapshotter:
         """
         if self.persistent_memo:
             raise RuntimeError(
-                "snapshot() builds a fresh graph per call and would "
-                "poison persistent memos; use check_incremental() "
+                "snapshot() maintains its own graph, whose re-links "
+                "would poison persistent memos; use check_incremental() "
                 "(or a batch snapshotter) instead"
             )
         if self.view is None:
@@ -178,7 +190,7 @@ class ConsistentSnapshotter:
         if registry.enabled:
             watch = registry.stopwatch()
         visible = self.view.visible_events(at)
-        graph = self.engine.build_graph(visible)
+        graph = self._graph_at(at, visible)
         snapshot = DataPlaneSnapshot.from_fib_events(visible, taken_at=at)
         report = self.check(graph, visible, prefix=prefix, at=at)
         if registry.enabled:
@@ -190,6 +202,31 @@ class ConsistentSnapshotter:
             )
             registry.histogram("snapshot.walk_steps").observe(report.steps)
         return snapshot, report
+
+    @property
+    def graph(self) -> Optional[HappensBeforeGraph]:
+        """The HBG of the latest :meth:`snapshot` (None before one)."""
+        return self._stream.graph if self._stream is not None else None
+
+    def _graph_at(
+        self, at: float, visible: Sequence[IOEvent]
+    ) -> HappensBeforeGraph:
+        """The HBG of ``visible`` — the events visible at ``at``.
+
+        Extends the maintained stream with the visible events it does
+        not hold yet: those whose arrival falls in (frontier, at], plus
+        any a live collector captured since the last poll.  An ``at``
+        before the frontier would have to drop events, so it starts a
+        fresh stream instead.
+        """
+        if self._stream is None or at < self._frontier:
+            self._stream = self.engine.streaming()
+        graph = self._stream.graph
+        self._stream.extend(
+            [event for event in visible if event.event_id not in graph]
+        )
+        self._frontier = at
+        return graph
 
     def wait_until_consistent(
         self,
@@ -291,6 +328,8 @@ class ConsistentSnapshotter:
         self._dep_index = {}
         self._max_cutoff = {}
         self._fib_table = {} if self.persistent_memo else None
+        self._stream = None
+        self._frontier = float("-inf")
 
     def _drop_dependents(self, prefix: Optional[Prefix], dep_key) -> None:
         index = self._dep_index.get(prefix)

@@ -11,15 +11,15 @@ agree:
   (per-router subgraphs + partial-path expansion) equals the
   centralized graph — identical edge sets, and root-cause traces
   that stay causally sound against the central graph.
-* ``hbg-indexed-equivalence`` — the indexed (repro.hbr.index) and
-  sharded (repro.hbr.sharded, workers=2) build paths produce exactly
-  the legacy window-scan's edge set and evidence, and the streaming
-  path lands on the same graph as the batch build.
+* ``hbg-indexed-equivalence`` — the indexed batch build and the
+  streaming engine fed in lagged arrival order produce exactly the
+  window-rescan reference's (repro.testkit.reference) edge set and
+  evidence.
 * ``hbg-distributed-equivalence`` — the distributed construction
   engine (per-router indexed subgraphs + boundary-summary exchange,
-  serial and forked) merges to exactly the legacy/indexed/sharded
-  edge set and evidence, while exchanging strictly fewer bytes than
-  shipping every event to a central collector.
+  serial and forked) merges to exactly the central edge set and
+  evidence, while exchanging strictly fewer bytes than shipping
+  every event to a central collector.
 * ``whatif-replay`` — §6: the what-if engine's forked prediction of
   an injection equals actually replaying that injection live.
 * ``provenance-rollback`` — §6: reverting the provenance-identified
@@ -316,7 +316,7 @@ def hbg_distributed(ctx: OracleContext) -> OracleVerdict:
     )
 
 
-# -- (b') legacy scan vs indexed vs sharded HBG ------------------------------
+# -- (b') window-rescan reference vs the indexed engine ----------------------
 
 
 def _evidence_edges(graph) -> List[Tuple[int, int, str, str, float]]:
@@ -335,53 +335,48 @@ def _evidence_edges(graph) -> List[Tuple[int, int, str, str, float]]:
 
 @oracle("hbg-indexed-equivalence")
 def hbg_indexed_equivalence(ctx: OracleContext) -> OracleVerdict:
-    """The indexed and sharded build paths equal the legacy scan.
+    """The indexed engine equals the window-rescan reference.
 
-    The inverted indices of repro.hbr.index and the multiprocess
-    shards of repro.hbr.sharded are pure performance work: for any
-    capture they must produce exactly the edge set *and evidence*
-    (technique, rule, confidence — the ambiguity discount depends on
-    candidate-set equality, so confidences diverge first) of the
-    original window-rescan implementation.
+    The inverted indices of repro.hbr.index and the streaming re-link
+    are pure performance work: for any capture they must produce
+    exactly the edge set *and evidence* (technique, rule, confidence
+    — the ambiguity discount depends on candidate-set equality, so
+    confidences diverge first) of a plain window rescan.  Checked for
+    the batch build and for the stream fed in *arrival* order
+    (per-router log lag applied), which drives the re-link path: a
+    cause that arrives after its effects must still end up linked.
     """
-    from repro.hbr.inference import InferenceConfig, InferenceEngine
+    from repro.hbr.inference import InferenceEngine
+    from repro.testkit.reference import reference_graph
 
     execution = ctx.shared
     events = execution.events()
-    legacy = InferenceEngine(
-        config=InferenceConfig(legacy_scan=True)
-    ).build_graph(events)
-    indexed_engine = InferenceEngine()
-    indexed = indexed_engine.build_graph(events)
-    sharded = indexed_engine.build_graph(events, parallel=2)
+    view = execution.view
+    engine = InferenceEngine()
+    reference = _evidence_edges(reference_graph(engine, events))
+    streaming = engine.streaming()
+    for event in sorted(
+        events, key=lambda e: (view.arrival_time(e), e.event_id)
+    ):
+        streaming.observe(event)
 
-    reference = _evidence_edges(legacy)
     problems: List[str] = []
-    checked = 1 + len(reference)
-    for name, candidate in (("indexed", indexed), ("sharded", sharded)):
+    checked = len(reference)
+    for name, candidate in (
+        ("indexed", engine.build_graph(events)),
+        ("streaming", streaming.graph),
+    ):
+        checked += 1
         found = _evidence_edges(candidate)
         if found != reference:
             ref_set, got_set = set(reference), set(found)
             missing = sorted(ref_set - got_set)[:3]
             extra = sorted(got_set - ref_set)[:3]
             problems.append(
-                f"{name} path diverges from legacy scan: "
+                f"{name} path diverges from the reference scan: "
                 f"{len(reference)} vs {len(found)} edges "
                 f"(missing {missing}, extra {extra})"
             )
-
-    # The streaming path shares the index; one pass over the events
-    # must land on the same graph as the batch build.
-    streaming = indexed_engine.streaming()
-    for event in events:
-        streaming.observe(event)
-    checked += 1
-    if streaming.graph.edge_set() != indexed.edge_set():
-        problems.append(
-            "streaming indexed path disagrees with batch: "
-            f"{len(streaming.graph.edge_set())} vs "
-            f"{len(indexed.edge_set())} edges"
-        )
 
     return OracleVerdict(
         oracle="",
@@ -400,9 +395,8 @@ def hbg_distributed_equivalence(ctx: OracleContext) -> OracleVerdict:
 
     The boundary-summary engine of repro.hbr.distributed claims the
     strongest form of equivalence: its merged graph is byte-identical
-    to the serial indexed build (hence, transitively, to the legacy
-    scan and the sharded build — the other equivalence oracle pins
-    those).  Checked here with full evidence tuples, for both the
+    to the central build (hence, transitively, to the window-rescan
+    reference — the other equivalence oracle pins that).  Checked here with full evidence tuples, for both the
     serial and the forked (workers=2) record builds, plus the traffic
     claim that makes the design worthwhile: boundary bytes strictly
     below shipping every event to a central collector.

@@ -194,6 +194,37 @@ class TestLintErrorPaths:
         assert "repro lint:" in capsys.readouterr().err
 
 
+class TestWorkersErrorPaths:
+    """--workers only sizes the --distributed fork pool; without it the
+    flag would be silently ignored, so it is a usage error."""
+
+    @pytest.mark.parametrize("command", ["audit", "stats", "serve-metrics"])
+    def test_workers_without_distributed_is_a_usage_error(
+        self, command, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "--workers N is only valid with --distributed" in (
+            capsys.readouterr().err
+        )
+
+    def test_workers_with_distributed_runs(self, capsys):
+        rc = main(
+            [
+                "audit", "--routers", "4", "--events", "2",
+                "--distributed", "--workers", "2",
+            ]
+        )
+        assert rc == 0
+        rows = [
+            line.split()
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("merge byte-identical to central")
+        ]
+        assert rows and rows[0][-1] == "yes"
+
+
 class TestFuzz:
     def test_small_campaign_table(self, capsys):
         rc = main(

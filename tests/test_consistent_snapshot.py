@@ -108,6 +108,99 @@ class TestFig1c:
         assert "R2" in report.missing_routers
 
 
+class _ScratchBuilds:
+    """Counts from-scratch HBG builds: ``build_graph`` calls plus fresh
+    streams started outside one (``build_graph`` is itself a fresh
+    stream, so counting both would count it twice)."""
+
+    def __init__(self, monkeypatch):
+        self.count = 0
+        self.paused = False
+        self._inside_build = False
+        real_build = InferenceEngine.build_graph
+        real_streaming = InferenceEngine.streaming
+
+        def build_graph(engine, events):
+            self._note()
+            self._inside_build = True
+            try:
+                return real_build(engine, events)
+            finally:
+                self._inside_build = False
+
+        def streaming(engine):
+            if not self._inside_build:
+                self._note()
+            return real_streaming(engine)
+
+        monkeypatch.setattr(InferenceEngine, "build_graph", build_graph)
+        monkeypatch.setattr(InferenceEngine, "streaming", streaming)
+
+    def _note(self):
+        if not self.paused:
+            self.count += 1
+
+    def reference(self, view, at):
+        """The batch build of the events visible at ``at`` (uncounted)."""
+        self.paused = True
+        try:
+            return InferenceEngine().build_graph(view.visible_events(at))
+        finally:
+            self.paused = False
+
+
+class TestMaintainedGraph:
+    """The snapshotter keeps one HBG up to date across polls."""
+
+    def test_one_build_per_snapshotter_while_at_grows(
+        self, fast_delays, monkeypatch
+    ):
+        scenario = Fig1Scenario(seed=0, delays=fast_delays)
+        net = scenario.run_fig1b()
+        view = VerifierView(net.collector, lags={"R2": 0.5})
+        builds = _ScratchBuilds(monkeypatch)
+        snapshotter = ConsistentSnapshotter(view, internal_routers=INTERNAL)
+        t = scenario.t_r2_route
+        polls = 0
+        while t < scenario.t_converged + 0.2:
+            snapshotter.snapshot(t, prefix=P)
+            polls += 1
+            assert (
+                snapshotter.graph.to_records()
+                == builds.reference(view, t).to_records()
+            )
+            t += 0.002
+        assert polls > 100
+        assert builds.count == 1
+
+        # An earlier ``at`` must drop events, so it starts afresh.
+        earlier = scenario.t_r2_route + 0.1
+        snapshotter.snapshot(earlier, prefix=P)
+        assert builds.count == 2
+        assert (
+            snapshotter.graph.to_records()
+            == builds.reference(view, earlier).to_records()
+        )
+
+    def test_wait_until_consistent_builds_once(self, fast_delays, monkeypatch):
+        scenario = Fig1Scenario(seed=0, delays=fast_delays)
+        net = scenario.run_fig1b()
+        # R2's logs lag past the deadline: every poll defers.
+        view = VerifierView(net.collector, lags={"R2": 30.0})
+        builds = _ScratchBuilds(monkeypatch)
+        snapshotter = ConsistentSnapshotter(view, internal_routers=INTERNAL)
+        start = scenario.t_converged
+        snapshot, report, when = snapshotter.wait_until_consistent(
+            start, start + 0.3, step=0.1, prefix=P
+        )
+        assert snapshot is None and when == start + 0.3
+        assert builds.count == 1
+        assert (
+            snapshotter.graph.to_records()
+            == builds.reference(view, when).to_records()
+        )
+
+
 class TestFig5Punchline:
     def test_r3_only_snapshot_detected_as_inconsistent(self):
         """§7: 'if it only sees the new FIB from R3, the verifier will

@@ -72,30 +72,37 @@ def test_hbg_edges_byte_identical_across_processes():
     assert int(first.splitlines()[0]) > 0
 
 
-# All four build paths (legacy scan, indexed, sharded workers=2,
-# distributed boundary-summary workers=2) on one seeded scenario: each
-# path must agree with the others within a process, and the whole dump
-# must be byte-identical across hostile hash seeds (the sharded and
-# distributed paths add fork + merge ordering — and the distributed
-# one summary-exchange ordering — as fresh opportunities for
-# nondeterminism; see repro.hbr.sharded and repro.hbr.distributed).
+# All four build paths (the window-rescan reference, build_graph, the
+# stream fed in lagged arrival order, and the distributed
+# boundary-summary build, serial and with workers=2) on one seeded
+# scenario: each path must agree with the others within a process, and
+# the whole dump must be byte-identical across hostile hash seeds (the
+# distributed path adds fork + merge ordering and summary-exchange
+# ordering as fresh opportunities for nondeterminism; the stream adds
+# re-link ordering; see repro.hbr.inference and repro.hbr.distributed).
 _PATHS_SCRIPT = """
 from repro.hbr.distributed import DistributedHbg
-from repro.hbr.inference import InferenceConfig, InferenceEngine
+from repro.hbr.inference import InferenceEngine
 from repro.scenarios.fig2 import Fig2Scenario
+from repro.testkit.reference import reference_graph
 
 net = Fig2Scenario(seed=7).run_fig2a()
 events = net.collector.all_events()
-legacy = InferenceEngine(
-    config=InferenceConfig(legacy_scan=True)
-).build_graph(events)
 engine = InferenceEngine()
+reference = reference_graph(engine, events)
 indexed = engine.build_graph(events)
-sharded = engine.build_graph(events, parallel=2)
-dist = DistributedHbg(InferenceEngine())
-dist.ingest_all(events)
-dist.build_all(workers=2)
-distributed = dist.merged_graph()
+lags = {"R2": 0.5}
+streaming = engine.streaming()
+for event in sorted(
+    events, key=lambda e: (e.timestamp + lags.get(e.router, 0.0), e.event_id)
+):
+    streaming.observe(event)
+merged = {}
+for workers in (1, 2):
+    dist = DistributedHbg(InferenceEngine())
+    dist.ingest_all(events)
+    dist.build_all(workers=workers)
+    merged[workers] = dist.merged_graph()
 
 def dump(graph):
     return sorted(
@@ -109,9 +116,10 @@ def dump(graph):
         for e in graph.edges()
     )
 
-print("legacy==indexed", dump(legacy) == dump(indexed))
-print("indexed==sharded", indexed.to_records() == sharded.to_records())
-print("sharded==distributed", sharded.to_records() == distributed.to_records())
+print("reference==indexed", reference.to_records() == indexed.to_records())
+print("indexed==streaming", indexed.to_records() == streaming.graph.to_records())
+print("indexed==distributed", indexed.to_records() == merged[1].to_records())
+print("serial==forked", merged[1].to_records() == merged[2].to_records())
 edges = dump(indexed)
 print(len(edges))
 for edge in edges:
@@ -140,10 +148,11 @@ def test_all_four_build_paths_byte_identical_across_processes():
     second = _run_paths("2")
     assert first == second
     lines = first.splitlines()
-    assert lines[0] == "legacy==indexed True"
-    assert lines[1] == "indexed==sharded True"
-    assert lines[2] == "sharded==distributed True"
-    assert int(lines[3]) > 0
+    assert lines[0] == "reference==indexed True"
+    assert lines[1] == "indexed==streaming True"
+    assert lines[2] == "indexed==distributed True"
+    assert lines[3] == "serial==forked True"
+    assert int(lines[4]) > 0
 
 
 def test_graph_edges_stable_within_process():

@@ -3,14 +3,18 @@
 import pytest
 
 from repro.capture.io_events import IOEvent, IOKind, RouteAction
+from repro import obs
+from repro.hbr import distributed
 from repro.hbr.distributed import (
     DistributedHbg,
     DistributionUnsupported,
     RouterSubgraph,
     boundary_kinds,
+    shard_routers,
     supports_distribution,
 )
 from repro.hbr.inference import InferenceConfig, InferenceEngine, PatternMiner
+from repro.hbr.rules import EventPattern, HbrRule, same_prefix
 from repro.net.addr import Prefix, parse_ip
 from repro.repair.provenance import ProvenanceTracer
 from repro.scenarios.fig2 import Fig2Scenario
@@ -168,7 +172,7 @@ class TestDistributedHbg:
         dist = DistributedHbg()
         dist.ingest_all(fig2_net.collector.all_events())
 
-        def forbidden(self, events, parallel=None):
+        def forbidden(self, events):
             raise AssertionError(
                 "distributed path called the central build_graph"
             )
@@ -216,6 +220,132 @@ class TestDistributedHbg:
         assert merged.edge_count() > edges_before
 
 
+class TestShardRouters:
+    def test_round_robin_over_sorted_names(self):
+        shards = shard_routers(["R3", "R1", "R2", "R4"], workers=2)
+        assert shards == [["R1", "R3"], ["R2", "R4"]]
+
+    def test_assignment_ignores_input_order(self):
+        routers = ["R5", "R2", "R9", "R1", "R7"]
+        forward = shard_routers(routers, workers=3)
+        backward = shard_routers(list(reversed(routers)), workers=3)
+        assert forward == backward
+
+    def test_more_workers_than_routers_drops_empty_shards(self):
+        shards = shard_routers(["R1", "R2"], workers=8)
+        assert shards == [["R1"], ["R2"]]
+
+    def test_workers_floor_is_one(self):
+        assert shard_routers(["R1", "R2"], workers=0) == [["R1", "R2"]]
+
+    def test_every_router_lands_in_exactly_one_shard(self):
+        routers = [f"R{i}" for i in range(17)]
+        shards = shard_routers(routers, workers=4)
+        flat = [r for shard in shards for r in shard]
+        assert sorted(flat) == sorted(routers)
+
+
+class TestForkedBuild:
+    """build_all's worker pool: the merge must not care how many
+    workers produced the records, or whether they were forked."""
+
+    @staticmethod
+    def _merged(events, workers):
+        dist = DistributedHbg()
+        dist.ingest_all(events)
+        dist.build_all(workers=workers)
+        return dist.merged_graph()
+
+    def test_byte_identical_to_serial(self, fig2_net):
+        events = fig2_net.collector.all_events()
+        central = InferenceEngine().build_graph(events)
+        for workers in (2, 3):
+            merged = self._merged(events, workers)
+            assert merged.to_records() == central.to_records()
+
+    def test_workers_exceeding_router_count(self, fig2_net):
+        events = fig2_net.collector.all_events()
+        central = InferenceEngine().build_graph(events)
+        assert self._merged(events, 64).to_records() == central.to_records()
+
+    def test_one_worker_runs_in_process(self, fig2_net, monkeypatch):
+        def no_fork():
+            raise AssertionError("a one-shard build must not fork")
+
+        monkeypatch.setattr(distributed, "_fork_context", no_fork)
+        events = fig2_net.collector.all_events()
+        central = InferenceEngine().build_graph(events)
+        assert self._merged(events, 1).to_records() == central.to_records()
+
+    def test_in_process_fallback_is_identical(self, fig2_net, monkeypatch):
+        """Platforms without fork run the shards sequentially in
+        process; the merge must not care which way the records came."""
+        events = fig2_net.collector.all_events()
+        forked = self._merged(events, 2)
+        monkeypatch.setattr(distributed, "_fork_context", lambda: None)
+        inline = self._merged(events, 2)
+        assert inline.to_records() == forked.to_records()
+
+    def test_obs_replay_matches_serial_counters(self, fig2_net):
+        registry, _tracer = obs.enable()
+        try:
+            merged = self._merged(fig2_net.collector.all_events(), 2)
+            edges = registry.counter("inference.hbg_edges_inferred")
+            assert edges.value == merged.edge_count()
+            assert registry.counter("distributed.builds_total").value == 1
+        finally:
+            obs.disable()
+
+    def test_rule_timings_survive_the_fork(self, fig2_net):
+        """Per-rule inference timings must reach the parent registry.
+
+        Workers may not touch the forked registry copy (CONC001), so
+        they return timing aggregates that the parent replays into
+        `inference.rule_invocations_total` / `..rule_seconds_total`.
+        The invocation counts must equal the central build's
+        `inference.rule_seconds` histogram sample counts — same
+        events, same rules, same number of rule invocations.
+        """
+        events = fig2_net.collector.all_events()
+        registry, _tracer = obs.enable()
+        try:
+            InferenceEngine().build_graph(events)
+            central_counts = {
+                h.labels: h.count
+                for h in registry.histograms()
+                if h.name == "inference.rule_seconds"
+            }
+        finally:
+            obs.disable()
+        assert central_counts, "central build recorded no rule timings"
+
+        registry, _tracer = obs.enable()
+        try:
+            self._merged(events, 2)
+            forked_counts = {
+                c.labels: c.value
+                for c in registry.counters()
+                if c.name == "inference.rule_invocations_total"
+            }
+            forked_seconds = {
+                c.labels: c.value
+                for c in registry.counters()
+                if c.name == "inference.rule_seconds_total"
+            }
+        finally:
+            obs.disable()
+        assert forked_counts == central_counts
+        assert set(forked_seconds) == set(central_counts)
+        assert all(v >= 0 for v in forked_seconds.values())
+
+    def test_infer_records_timings_disabled_without_registry(self, fig2_net):
+        dist = DistributedHbg()
+        dist.ingest_all(fig2_net.collector.all_events())
+        dist.exchange_summaries()
+        _records, timings = dist.subgraphs["R1"].infer_records()
+        assert timings == {}
+
+
 class TestDistributionSupport:
     def test_default_engine_supported(self):
         assert supports_distribution(InferenceEngine())
@@ -230,8 +360,18 @@ class TestDistributionSupport:
                 config=InferenceConfig(use_patterns=True),
                 miner=PatternMiner(),
             ),
+            # A rule with no same-router/peer relation needs the
+            # global index.
             lambda: InferenceEngine(
-                config=InferenceConfig(legacy_scan=True)
+                rules=[
+                    HbrRule(
+                        name="any-router",
+                        antecedent=EventPattern(kinds=(IOKind.RIB_UPDATE,)),
+                        consequent=EventPattern(kinds=(IOKind.FIB_UPDATE,)),
+                        relations=(same_prefix,),
+                        window=2.0,
+                    )
+                ]
             ),
         ],
     )

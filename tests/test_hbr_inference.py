@@ -12,6 +12,7 @@ from repro.hbr.inference import (
 from repro.scenarios.fig1 import Fig1Scenario
 from repro.scenarios.fig2 import Fig2Scenario, bad_lp_change
 from repro.scenarios.paper_net import P, build_paper_network
+from repro.testkit.reference import reference_graph
 
 
 def _observable_ids(net):
@@ -233,16 +234,39 @@ class TestStreaming:
         assert stream.graph.edge_set() == batch.edge_set()
 
     def test_legacy_scan_streaming_matches_indexed(self, converged_fig1):
+        """The indexed stream lands on the window-rescan reference."""
         net = converged_fig1
-        indexed = InferenceEngine().streaming()
-        legacy = InferenceEngine(
-            config=InferenceConfig(legacy_scan=True)
-        ).streaming()
+        engine = InferenceEngine()
+        indexed = engine.streaming()
         for event in net.collector:
             indexed.observe(event)
-            legacy.observe(event)
-        assert indexed.graph.edge_set() == legacy.graph.edge_set()
-        assert len(indexed) == len(legacy) == len(net.collector)
+        reference = reference_graph(engine, net.collector)
+        assert indexed.graph.to_records() == reference.to_records()
+        assert len(indexed) == len(net.collector)
+
+    def test_extend_batches_equal_batch_build(self, converged_fig1):
+        """extend() in arbitrary, lagged chunks re-links earlier
+        consequents so every intermediate graph is the batch build of
+        the events fed so far."""
+        net = converged_fig1
+        engine = InferenceEngine()
+        lag = {"R2": 0.4}
+        order = sorted(
+            net.collector,
+            key=lambda e: (e.timestamp + lag.get(e.router, 0.0), e.event_id),
+        )
+        stream = engine.streaming()
+        fed = []
+        relinked_any = False
+        for start in range(0, len(order), 7):
+            chunk = order[start : start + 7]
+            relinked_any |= bool(stream.extend(chunk))
+            fed.extend(chunk)
+            assert (
+                stream.graph.to_records()
+                == engine.build_graph(fed).to_records()
+            )
+        assert relinked_any  # the lag really exercised the re-link
 
     def test_observe_gauge_refresh_is_o1(self, converged_fig1):
         """Per-event gauges must come from the graph's maintained

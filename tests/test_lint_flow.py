@@ -172,6 +172,26 @@ def test_fork_and_thread_roots():
     assert [t for t, _w, _l in project.thread_roots()] == ["repro.x.m.poller"]
 
 
+def test_fork_roots_over_own_source_find_distributed_worker():
+    """CONC001 must stay pointed at a live fork: the repository's own
+    fork fan-out is DistributedHbg.build_all's worker pool."""
+    from repro.lint.engine import module_name_for
+
+    files = []
+    for directory, _dirs, names in os.walk(SRC):
+        for name in sorted(names):
+            if name.endswith(".py"):
+                path = os.path.join(directory, name)
+                with open(path, encoding="utf-8") as handle:
+                    tree = ast.parse(handle.read(), filename=path)
+                files.append((path, module_name_for(path), tree))
+    roots = build_project(files).fork_roots()
+    assert (
+        "repro.hbr.distributed._run_shard",
+        "repro.hbr.distributed.DistributedHbg.build_all",
+    ) in {(worker, spawner) for worker, spawner, _line in roots}
+
+
 # -- dataflow engine -------------------------------------------------------
 
 
